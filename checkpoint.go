@@ -18,13 +18,13 @@ import (
 // restores would silently misinterpret state rather than degrade
 // gracefully. Bump it whenever any engine's capture layout changes — or the
 // meta JSON's field names do (version 2 switched SnapshotMeta.Spec to the
-// stable snake_case wire tags the serving layer speaks; version 3 added the
-// sharded engines' per-shard payload section — shard ladders, clocks, RNG
-// substreams and parked-message arenas captured at a window barrier;
+// stable snake_case wire tags the serving layer speaks; version 3 added a
+// per-shard payload section for a parallel execution mode since removed;
 // version 4 switched the synchronous engine's payload to the packed
 // word-per-node configuration, dropping the serialized tally matrix that
-// is now rebuilt at restore).
-const SnapshotFormatVersion = 4
+// is now rebuilt at restore; version 5 retired the sharded layouts, so any
+// version-4 blob — sharded ones included — is refused rather than misread).
+const SnapshotFormatVersion = 5
 
 // snapshotMagic is the 8-byte blob signature.
 const snapshotMagic = "PLURSNAP"
@@ -46,11 +46,6 @@ var (
 	// ErrNoCheckpoint reports a checkpoint request against a protocol that
 	// does not support capture/resume (see ProtocolInfo.Checkpointable).
 	ErrNoCheckpoint = errors.New("plurality: protocol does not support checkpointing")
-	// ErrSnapshotShards reports a sharded blob resumed at a different shard
-	// count: a snapshot taken at Shards=S embeds S per-shard sections
-	// (ladder, clocks, RNG substreams) and resumes bit-exactly only at
-	// Shards=S. Re-run from scratch at the new count instead.
-	ErrSnapshotShards = errors.New("plurality: snapshot captured at a different shard count")
 )
 
 // CheckpointSpec configures mid-run snapshot capture; the zero value
@@ -284,8 +279,6 @@ func Resume(ctx context.Context, snapshot *Snapshot, opts *ResumeOptions) (*Resu
 // while leaving every other error (cancellation, validation) untouched.
 func mapRestoreErr(err error) error {
 	switch {
-	case errors.Is(err, snap.ErrShardCount):
-		return fmt.Errorf("%w: %v", ErrSnapshotShards, err)
 	case errors.Is(err, snap.ErrTruncated):
 		return fmt.Errorf("%w: %v", ErrSnapshotTruncated, err)
 	case errors.Is(err, snap.ErrCorrupt):

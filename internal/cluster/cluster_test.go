@@ -148,7 +148,7 @@ func TestBroadcastCompletes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := Broadcast(cl, nil, 10, 0)
+	res, err := Broadcast(cl, nil, 10, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -168,7 +168,7 @@ func TestBroadcastFastRelativeToN(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := Broadcast(cl, nil, 12, 0)
+		res, err := Broadcast(cl, nil, 12, 0, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -189,7 +189,7 @@ func TestBroadcastSlowLatency(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := Broadcast(cl, sim.ExpLatency{Rate: 0.5}, 14, 0)
+	res, err := Broadcast(cl, sim.ExpLatency{Rate: 0.5}, 14, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

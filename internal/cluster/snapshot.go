@@ -127,14 +127,6 @@ func (bs *bcastState) capture() ([]byte, error) {
 	}
 	w.Int(bs.remaining)
 	w.Bool(bs.res.TimedOut)
-	// Adversarial runs append the adversary state and the delayed-message
-	// arena; the suffix's presence is a pure function of the caller's
-	// adversary.Config, so capture and restore agree on it and honest blobs
-	// decode unchanged.
-	if bs.adv != nil {
-		bs.adv.EncodeState(w)
-		bs.payload.EncodeState(w)
-	}
 	return w.Bytes(), nil
 }
 
@@ -176,14 +168,6 @@ func (bs *bcastState) restore(state []byte, perturb uint64, leaders []int) error
 	}
 	remaining := r.Int()
 	timedOut := r.Bool()
-	if bs.adv != nil {
-		if err := bs.adv.DecodeState(r); err != nil {
-			return fmt.Errorf("cluster: broadcast adversary state: %w", err)
-		}
-		if err := bs.payload.DecodeState(r); err != nil {
-			return fmt.Errorf("cluster: broadcast delayed messages: %w", err)
-		}
-	}
 	if err := r.Finish(); err != nil {
 		return fmt.Errorf("cluster: broadcast state: %w", err)
 	}
@@ -198,9 +182,6 @@ func (bs *bcastState) restore(state []byte, perturb uint64, leaders []int) error
 		bs.smp.Perturb(perturb)
 		bs.latR.Perturb(perturb)
 		bs.clocks.Perturb(perturb)
-		if bs.adv != nil {
-			bs.adv.Perturb(perturb)
-		}
 	}
 	return nil
 }

@@ -89,7 +89,7 @@ func TestBroadcastCheckpointRoundtrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	plain, err := Broadcast(cl, nil, 31, 0)
+	plain, err := Broadcast(cl, nil, 31, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -103,13 +103,13 @@ func TestBroadcastCheckpointRoundtrip(t *testing.T) {
 		Halt: true,
 		Sink: func(state []byte, _ float64, _ uint64) { blob = append([]byte(nil), state...) },
 	}
-	if _, err := BroadcastWithCheckpoint(cl, nil, 31, 0, ck); err != nil {
+	if _, err := Broadcast(cl, nil, 31, 0, ck); err != nil {
 		t.Fatal(err)
 	}
 	if blob == nil {
 		t.Fatal("no snapshot captured")
 	}
-	res, err := BroadcastWithCheckpoint(cl, nil, 31, 0, &snap.Checkpoint{Restore: blob})
+	res, err := Broadcast(cl, nil, 31, 0, &snap.Checkpoint{Restore: blob})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -82,7 +82,7 @@ func Theorem28Broadcast(o Opts) *harness.Table {
 			if err != nil {
 				panic(fmt.Sprintf("experiments: Theorem28 form: %v", err))
 			}
-			res, err := cluster.Broadcast(cl, nil, seed+1, 0)
+			res, err := cluster.Broadcast(cl, nil, seed+1, 0, nil)
 			if err != nil {
 				panic(fmt.Sprintf("experiments: Theorem28 broadcast: %v", err))
 			}

@@ -2,9 +2,40 @@ package harness
 
 import (
 	"context"
+	"errors"
+	"fmt"
 	"runtime"
+	"runtime/debug"
 	"sync"
 )
+
+// ErrJobPanicked is matched (errors.Is) by the error of a job that
+// panicked; the error itself is a *PanicError carrying the panic value.
+var ErrJobPanicked = errors.New("harness: job panicked")
+
+// PanicError is a recovered panic turned into an error: Value is what was
+// passed to panic and Stack the panicking goroutine's stack trace.
+type PanicError struct {
+	Value any
+	Stack []byte
+}
+
+func (e *PanicError) Error() string { return fmt.Sprintf("%v: %v", ErrJobPanicked, e.Value) }
+
+// Unwrap makes a PanicError match ErrJobPanicked.
+func (e *PanicError) Unwrap() error { return ErrJobPanicked }
+
+// Safely runs fn and returns its error, or a *PanicError if fn panics. Pool
+// workers run every job through it, so an engine invariant panic fails one
+// job instead of killing the process.
+func Safely(fn func() error) (err error) {
+	defer func() {
+		if v := recover(); v != nil {
+			err = &PanicError{Value: v, Stack: debug.Stack()}
+		}
+	}()
+	return fn()
+}
 
 // Job is one unit of work submitted to a Pool. The scratch argument is the
 // executing worker's private reusable workspace (see NewPool's newScratch);
@@ -25,7 +56,8 @@ type JobHandle struct {
 func (h *JobHandle) Done() <-chan struct{} { return h.done }
 
 // Err returns the job's error; it is meaningful only after Done is closed.
-// A job cancelled before it started reports its context error.
+// A job cancelled before it started reports its context error, and a job
+// that panicked a *PanicError (matching ErrJobPanicked).
 func (h *JobHandle) Err() error {
 	select {
 	case <-h.done:
@@ -111,7 +143,7 @@ func (p *Pool) worker() {
 		if err := h.ctx.Err(); err != nil {
 			h.err = err // cancelled while queued: skip the work
 		} else {
-			h.err = h.fn(h.ctx, scratch)
+			h.err = Safely(func() error { return h.fn(h.ctx, scratch) })
 		}
 		h.cancel() // release the context's resources
 		close(h.done)

@@ -209,3 +209,38 @@ func waitRunning(t *testing.T, p *Pool) {
 		}
 	}
 }
+
+// TestPoolRecoversPanickingJob pins that a panicking job fails with a typed
+// error carrying the panic value, and that its worker keeps serving: with
+// one worker, the job queued behind the panic must still run.
+func TestPoolRecoversPanickingJob(t *testing.T) {
+	p := NewPool(1, 10, nil)
+	defer p.Close()
+	bad, ok := p.TrySubmit(func(ctx context.Context, _ any) error {
+		panic("tally underflow")
+	})
+	if !ok {
+		t.Fatal("panicking job refused")
+	}
+	ran := false
+	good, ok := p.TrySubmit(func(ctx context.Context, _ any) error {
+		ran = true
+		return nil
+	})
+	if !ok {
+		t.Fatal("follow-up job refused")
+	}
+	<-bad.Done()
+	err := bad.Err()
+	if !errors.Is(err, ErrJobPanicked) {
+		t.Fatalf("panicking job: err = %v, want ErrJobPanicked", err)
+	}
+	var pe *PanicError
+	if !errors.As(err, &pe) || pe.Value != "tally underflow" || len(pe.Stack) == 0 {
+		t.Fatalf("panicking job: err = %#v, want a *PanicError with the panic value and a stack", err)
+	}
+	<-good.Done()
+	if err := good.Err(); err != nil || !ran {
+		t.Fatalf("job after the panic: ran=%v err=%v", ran, err)
+	}
+}

@@ -237,7 +237,12 @@ func (s *Server) cellJob(st *sweepState, job int) harness.Job {
 				return nil
 			}
 		}
-		res, err := s.compute(ctx, st.plan.Protocol, st.jobSpec(job), key)
+		var res *plurality.Result
+		err := harness.Safely(func() error {
+			var err error
+			res, err = s.compute(ctx, st.plan.Protocol, st.jobSpec(job), key)
+			return err
+		})
 		if err != nil {
 			if errors.Is(err, errSuspended) || ctx.Err() != nil {
 				return nil // progress persisted; the next boot resumes it
@@ -280,13 +285,6 @@ func (s *Server) compute(ctx context.Context, protocol string, spec plurality.Sp
 		if info, err := plurality.Info(protocol); err != nil || !info.Checkpointable {
 			segmented = false
 		}
-	}
-	if spec.Shards > 1 {
-		// Sharded runs reject checkpointing (the snapshot format assumes the
-		// serial kernel's single pending set), so they run in one piece; the
-		// cache key is shard-independent, so a completed result still serves
-		// every shard count.
-		segmented = false
 	}
 	var snap *plurality.Snapshot
 	if segmented {
@@ -421,13 +419,11 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "server draining; resubmit after restart", http.StatusServiceUnavailable)
 		return
 	}
-	var (
-		res    *plurality.Result
-		runErr error
-	)
+	var res *plurality.Result
 	h, ok := s.pool.TrySubmit(func(ctx context.Context, _ any) error {
-		res, runErr = s.compute(ctx, req.Protocol, spec, key)
-		return nil
+		var err error
+		res, err = s.compute(ctx, req.Protocol, spec, key)
+		return err
 	})
 	if !ok {
 		s.refuse(w)
@@ -439,9 +435,12 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 		h.Cancel()
 		<-h.Done()
 	}
-	if runErr != nil {
+	if runErr := h.Err(); runErr != nil {
 		code := http.StatusBadRequest
-		if errors.Is(runErr, errSuspended) || r.Context().Err() != nil {
+		switch {
+		case errors.Is(runErr, harness.ErrJobPanicked):
+			code = http.StatusInternalServerError
+		case errors.Is(runErr, errSuspended) || r.Context().Err() != nil:
 			code = http.StatusServiceUnavailable
 		}
 		http.Error(w, runErr.Error(), code)

@@ -3,7 +3,10 @@ package server
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
 	"encoding/json"
+	"errors"
+	"hash/crc32"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
@@ -130,6 +133,9 @@ func TestRunBadRequests(t *testing.T) {
 		{"invalid json", `{"protocol":`},
 		{"unknown field", `{"protocol":"sync","spec":{"n":100,"k":2,"seed":1,"typo_field":3}}`},
 		{"invalid spec", `{"protocol":"sync","spec":{"n":-5,"k":2,"seed":1}}`},
+		// Spec has no shards field any more; the strict decoder refuses it
+		// instead of silently running serially.
+		{"retired shards field", `{"protocol":"leader","spec":{"n":100,"k":2,"seed":1,"shards":2}}`},
 	}
 	for _, c := range cases {
 		if w := do(t, s, http.MethodPost, "/v1/runs", c.body); w.Code != http.StatusBadRequest {
@@ -338,42 +344,118 @@ func TestSubmitAllBoundary(t *testing.T) {
 	close(release)
 }
 
-// TestRunCacheSharedAcrossShardCounts pins the serving-layer consequence of
-// Shards being an execution knob: a leader run computed at one shard count is
-// served from cache for requests at every other shard count (including
-// serial), byte for byte — the shard count names hardware, not an experiment.
-func TestRunCacheSharedAcrossShardCounts(t *testing.T) {
-	// CheckpointEvery matches the pluralityd binary's default mode: sharded
-	// jobs must bypass segmentation (they reject checkpoints) instead of
-	// failing with 400.
-	s := newTestServer(t, Config{Workers: 2, CheckpointEvery: 8, Dir: t.TempDir()})
+// panicProtocol is a test-only protocol whose every run panics, standing in
+// for an engine invariant violation.
+type panicProtocol struct{}
 
-	first := do(t, s, http.MethodPost, "/v1/runs",
-		`{"protocol":"leader","spec":{"n":300,"k":3,"alpha":2,"seed":5,"shards":2}}`)
-	if first.Code != http.StatusOK {
-		t.Fatalf("sharded run: status %d: %s", first.Code, first.Body)
-	}
-	if got := first.Header().Get("X-Plurality-Cache"); got != "miss" {
-		t.Fatalf("sharded run cache header = %q, want miss", got)
-	}
-	before := s.Stats()
+func (panicProtocol) Info() plurality.ProtocolInfo {
+	return plurality.ProtocolInfo{Name: "test-panic", Family: "test", Description: "always panics"}
+}
 
-	for _, spec := range []string{
-		`{"protocol":"leader","spec":{"n":300,"k":3,"alpha":2,"seed":5,"shards":4}}`,
-		`{"protocol":"leader","spec":{"n":300,"k":3,"alpha":2,"seed":5}}`,
-	} {
-		w := do(t, s, http.MethodPost, "/v1/runs", spec)
-		if w.Code != http.StatusOK {
-			t.Fatalf("status %d: %s", w.Code, w.Body)
-		}
-		if got := w.Header().Get("X-Plurality-Cache"); got != "hit" {
-			t.Fatalf("spec %s cache header = %q, want hit", spec, got)
-		}
-		if !bytes.Equal(first.Body.Bytes(), w.Body.Bytes()) {
-			t.Fatalf("spec %s served different bytes than the sharded original", spec)
-		}
+func (panicProtocol) Run(context.Context, plurality.Spec) (*plurality.Result, error) {
+	panic("test-panic: invariant violated")
+}
+
+var registerPanicProtocol sync.Once
+
+// TestRunPanickingJob pins that a panicking job fails its request with a
+// non-2xx reply, and a sweep whose cell panics ends its stream with the
+// failure, and that the daemon keeps serving: on a one-worker pool, the
+// next request runs on the very worker the panics hit.
+func TestRunPanickingJob(t *testing.T) {
+	registerPanicProtocol.Do(func() { plurality.Register(panicProtocol{}) })
+	s := newTestServer(t, Config{Workers: 1})
+	w := do(t, s, http.MethodPost, "/v1/runs", `{"protocol":"test-panic","spec":{"n":100,"k":2,"seed":1}}`)
+	if w.Code != http.StatusInternalServerError {
+		t.Fatalf("panicking run: status %d, want 500: %s", w.Code, w.Body)
 	}
-	if after := s.Stats(); after.JobsComputed != before.JobsComputed {
-		t.Fatal("shard-count variants recomputed the job")
+	if !strings.Contains(w.Body.String(), "invariant violated") {
+		t.Errorf("panicking run body %q does not carry the panic value", w.Body)
+	}
+	w = do(t, s, http.MethodPost, "/v1/sweeps", `{"protocol":"test-panic","base":{"n":100,"k":2,"seed":1},"reps":2}`)
+	if !strings.Contains(w.Body.String(), "invariant violated") {
+		t.Errorf("panicking sweep stream %q does not report the panic", w.Body)
+	}
+	if w := do(t, s, http.MethodPost, "/v1/runs", `{"protocol":"sync","spec":{"n":100,"k":2,"seed":1}}`); w.Code != http.StatusOK {
+		t.Fatalf("run after the panic: status %d: %s", w.Code, w.Body)
+	}
+}
+
+// withVersion rewrites an encoded snapshot blob as if an older build had
+// written it under the given format version: the header field and the
+// meta's format_version both change, and the checksum is recomputed, so
+// the blob is well-formed apart from its version.
+func withVersion(t *testing.T, blob []byte, version int) []byte {
+	t.Helper()
+	const magic = 8
+	metaLen := int(binary.LittleEndian.Uint32(blob[magic+2:]))
+	metaStart := magic + 2 + 4
+	var meta map[string]any
+	if err := json.Unmarshal(blob[metaStart:metaStart+metaLen], &meta); err != nil {
+		t.Fatal(err)
+	}
+	meta["format_version"] = version
+	metaJSON, err := json.Marshal(meta)
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := append([]byte(nil), blob[:magic]...)
+	out = binary.LittleEndian.AppendUint16(out, uint16(version))
+	out = binary.LittleEndian.AppendUint32(out, uint32(len(metaJSON)))
+	out = append(out, metaJSON...)
+	out = append(out, blob[metaStart+metaLen:len(blob)-4]...) // payload length + payload
+	return binary.LittleEndian.AppendUint32(out, crc32.ChecksumIEEE(out))
+}
+
+// TestStaleSnapshotRecomputed pins the serving side of a snapshot format
+// bump: a job whose persisted snapshot was written under the previous
+// format version is recomputed from scratch, and the reply is byte-equal to
+// a fresh in-process Run. The stale snapshot comes from a different seed,
+// so resuming it instead of refusing it would serve different bytes.
+func TestStaleSnapshotRecomputed(t *testing.T) {
+	spec := plurality.Spec{N: 200, K: 3, Alpha: 2, Seed: 7}
+	ctx := context.Background()
+	fresh, err := plurality.Run(ctx, "leader", spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := json.Marshal(fresh)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	other := spec
+	other.Seed = 8
+	other.Checkpoint = plurality.CheckpointSpec{SnapshotAt: 2, Halt: true}
+	half, err := plurality.Run(ctx, "leader", other)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if half.Snapshot == nil {
+		t.Fatal("no snapshot captured")
+	}
+	blob, err := half.Snapshot.Encode()
+	if err != nil {
+		t.Fatal(err)
+	}
+	stale := withVersion(t, blob, plurality.SnapshotFormatVersion-1)
+	if _, err := plurality.DecodeSnapshot(stale); !errors.Is(err, plurality.ErrSnapshotVersion) {
+		t.Fatalf("stale blob: decode err = %v, want ErrSnapshotVersion", err)
+	}
+
+	s := newTestServer(t, Config{Dir: t.TempDir(), CheckpointEvery: 2})
+	key, err := jobKey("run", "leader", spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.store.SaveJobSnapshot(key, stale); err != nil {
+		t.Fatal(err)
+	}
+	w := do(t, s, http.MethodPost, "/v1/runs", `{"protocol":"leader","spec":{"n":200,"k":3,"alpha":2,"seed":7}}`)
+	if w.Code != http.StatusOK {
+		t.Fatalf("status %d: %s", w.Code, w.Body)
+	}
+	if !bytes.Equal(w.Body.Bytes(), want) {
+		t.Fatal("served bytes differ from a fresh in-process Run")
 	}
 }

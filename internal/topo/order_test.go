@@ -97,12 +97,12 @@ func TestBlockOrderCSRMatchesPartition(t *testing.T) {
 		t.Fatal("CSR graphs should be grouped by the BFS partition")
 	}
 	s := len(off) - 1
-	owner := Partition(g, s)
+	owner := bfsPartition(g, s)
 	for b := 0; b < s; b++ {
 		block := perm[off[b]:off[b+1]]
 		for i, v := range block {
 			if owner[v] != int32(b) {
-				t.Fatalf("node %d in block %d belongs to shard %d", v, b, owner[v])
+				t.Fatalf("node %d in block %d has owner %d", v, b, owner[v])
 			}
 			if i > 0 && block[i] <= block[i-1] {
 				t.Fatalf("block %d not in ascending node order: %v", b, block)

@@ -2,6 +2,27 @@ package topo
 
 import "testing"
 
+// These tests pin bfsPartition, the BFS-greedy partitioner behind
+// BlockOrder's CSR case: balanced blocks, and a cut no worse than striping
+// (materially better on graphs with neighborhood structure).
+
+// cutFraction reports the fraction of directed edges of a CSR graph whose
+// endpoints have different owners — the partition-quality measure.
+func cutFraction(g *AdjGraph, owner []int32) float64 {
+	if len(g.adj) == 0 {
+		return 0
+	}
+	cut := 0
+	for v := 0; v < g.Size(); v++ {
+		for _, w := range g.adj[g.off[v]:g.off[v+1]] {
+			if owner[v] != owner[w] {
+				cut++
+			}
+		}
+	}
+	return float64(cut) / float64(len(g.adj))
+}
+
 // checkPartition validates the structural contract: every node owned, owner
 // ids in [0, s), block sizes within one of each other.
 func checkPartition(t *testing.T, owner []int32, s int) {
@@ -28,34 +49,38 @@ func checkPartition(t *testing.T, owner []int32, s int) {
 }
 
 func TestPartitionBalancedBlocks(t *testing.T) {
-	for _, n := range []int{2, 7, 100, 1000} {
-		for _, s := range []int{1, 2, 3, 8, 1000, 2000} {
-			g := NewComplete(n)
-			owner := Partition(g, s)
-			eff := s
-			if eff > n {
-				eff = n
-			}
-			if eff < 1 {
-				eff = 1
-			}
-			checkPartition(t, owner, eff)
+	for _, n := range []int{8, 100, 1000} {
+		g, err := NewRandomRegular(n, 4, uint64(n))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, s := range []int{1, 2, 3, 8, n} {
+			checkPartition(t, bfsPartition(g, s), s)
 		}
 	}
 }
 
+// TestPartitionContiguousForBlockTopologies checks that ring blocks are
+// contiguous id ranges (the identity order), which cut only the seams.
 func TestPartitionContiguousForBlockTopologies(t *testing.T) {
 	ring, err := NewRing(1000, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	owner := Partition(ring, 4)
-	checkPartition(t, owner, 4)
-	for v := 1; v < len(owner); v++ {
-		if owner[v] < owner[v-1] {
-			t.Fatalf("block partition not monotone at node %d: %d after %d", v, owner[v], owner[v-1])
+	perm, off := BlockOrder(ring, 250)
+	if perm != nil {
+		t.Fatal("ring blocks should use the identity order")
+	}
+	if len(off) != 5 {
+		t.Fatalf("ring of 1000 at target 250: %d blocks, want 4", len(off)-1)
+	}
+	owner := make([]int32, 1000)
+	for b := 0; b+1 < len(off); b++ {
+		for v := off[b]; v < off[b+1]; v++ {
+			owner[v] = int32(b)
 		}
 	}
+	checkPartition(t, owner, 4)
 	// A contiguous 4-block partition of a width-2 ring cuts only the 8
 	// boundary edges per seam, 4 seams: 2·2·2·4 = 32 directed cut edges of
 	// 4000 total.
@@ -82,7 +107,7 @@ func TestPartitionBFSBeatsStriping(t *testing.T) {
 		t.Fatal(err)
 	}
 	const s = 8
-	owner := Partition(g, s)
+	owner := bfsPartition(g, s)
 	checkPartition(t, owner, s)
 
 	// Striped assignment v % s: expected cut fraction (s-1)/s ≈ 0.875 on a
@@ -93,13 +118,13 @@ func TestPartitionBFSBeatsStriping(t *testing.T) {
 	for v := range striped {
 		striped[v] = int32(v % s)
 	}
-	bfsCut, stripedCut := CutFraction(g, owner), CutFraction(g, striped)
+	bfsCut, stripedCut := cutFraction(g, owner), cutFraction(g, striped)
 	if bfsCut > stripedCut {
 		t.Fatalf("BFS cut %.3f worse than striped %.3f", bfsCut, stripedCut)
 	}
 
 	// Determinism: same graph, same s, same assignment.
-	again := Partition(g, s)
+	again := bfsPartition(g, s)
 	for v := range owner {
 		if owner[v] != again[v] {
 			t.Fatalf("partition not deterministic at node %d", v)
@@ -122,70 +147,16 @@ func TestPartitionBFSLocalityOnTorusCSR(t *testing.T) {
 	}
 	g := newCSR("torus-csr", rows*cols, edges)
 	const s = 8
-	owner := Partition(g, s)
+	owner := bfsPartition(g, s)
 	checkPartition(t, owner, s)
 	striped := make([]int32, g.Size())
 	for v := range striped {
 		striped[v] = int32(v % s)
 	}
-	bfsCut, stripedCut := CutFraction(g, owner), CutFraction(g, striped)
+	bfsCut, stripedCut := cutFraction(g, owner), cutFraction(g, striped)
 	// Measured: BFS ≈ 0.16 vs striped 0.50 (the ideal rectangular band is
 	// 0.125; BFS frontiers are ragged). Require at least a 2× win.
 	if bfsCut > stripedCut/2 {
 		t.Fatalf("BFS cut %.3f on torus CSR, want < %.3f (striped/2, striped=%.3f)", bfsCut, stripedCut/2, stripedCut)
 	}
-}
-
-// TestPartitionAligned pins the cluster-alignment contract the decentralized
-// sharded engine relies on: no group straddles shards, singletons (< 0
-// entries) spread for balance, and the assignment is deterministic.
-func TestPartitionAligned(t *testing.T) {
-	// 40 nodes: four groups of 8 rooted at 0, 8, 16, 24, plus 8 singletons.
-	group := make([]int32, 40)
-	for v := range group {
-		if v < 32 {
-			group[v] = int32(v / 8 * 8)
-		} else {
-			group[v] = -1
-		}
-	}
-	for _, s := range []int{1, 2, 3, 5} {
-		owner := PartitionAligned(group, s)
-		if len(owner) != len(group) {
-			t.Fatalf("s=%d: owner length %d, want %d", s, len(owner), len(group))
-		}
-		for v, g := range group {
-			if owner[v] < 0 || int(owner[v]) >= s {
-				t.Fatalf("s=%d: node %d has owner %d outside [0, %d)", s, v, owner[v], s)
-			}
-			if g >= 0 && owner[v] != owner[g] {
-				t.Fatalf("s=%d: node %d (group %d) on shard %d, group root on %d — group straddles shards", s, v, g, owner[v], owner[g])
-			}
-		}
-		again := PartitionAligned(group, s)
-		for v := range owner {
-			if owner[v] != again[v] {
-				t.Fatalf("s=%d: PartitionAligned not deterministic at node %d", s, v)
-			}
-		}
-	}
-	// Greedy least-loaded placement keeps shard loads within one group size.
-	owner := PartitionAligned(group, 2)
-	load := make([]int, 2)
-	for _, b := range owner {
-		load[b]++
-	}
-	if diff := load[0] - load[1]; diff < -8 || diff > 8 {
-		t.Fatalf("shard loads %v differ by more than one group", load)
-	}
-}
-
-// TestPartitionAlignedAllSingletons checks the degenerate all-singleton
-// input balances like a plain partition.
-func TestPartitionAlignedAllSingletons(t *testing.T) {
-	group := make([]int32, 17)
-	for v := range group {
-		group[v] = -1
-	}
-	checkPartition(t, PartitionAligned(group, 4), 4)
 }

@@ -1,32 +1,36 @@
 package plurality
 
 import (
+	"bytes"
 	"context"
+	"encoding/binary"
+	"encoding/json"
 	"errors"
 	"fmt"
+	"os"
 	"strings"
 	"testing"
 )
 
-// This file pins what sharded execution must preserve across shard counts.
-// Different shard counts are different sample paths, so byte digests cannot
-// agree across S — what must agree is the statistical outcome: the Result's
-// summary fields (winner, plurality-won, full-consensus, timed-out) are
-// identical for Shards ∈ {1, 2, 3, 7} whatever the protocol, topology or
-// adversary. That includes cells where the outcome is a consistent
-// *shortfall*: the leader protocol's generation budget is derived from
-// complete-graph mixing, so on the sparse reference graphs it exhausts the
-// horizon with the plurality leading but short of unanimity — at every
-// shard count alike. CI runs the matrix under -race in the
-// parallel-kernel-matrix job, so it doubles as the race check over the
-// barrier loops and the adversary decision views.
+// This file pins what the retirement of sharded single-run execution
+// (Spec.Shards) must preserve. The serial event ladder is now the only
+// execution of each asynchronous engine; the tests keep the names they had
+// when they also drove the sharded engines, and check the guarantees that
+// outlive it:
+//
+//   - the outcome matrix over protocols, topologies and fault models, and its
+//     invariance to how replication-level parallelism spreads the work;
+//   - that no protocol still accepts or reports a shard count;
+//   - that a blob recorded by a sharded run is refused by version, not
+//     misread as a serial payload;
+//   - that the serial kernel stays byte-identical to the digests recorded
+//     before sharded execution existed.
 
-// invarianceAdversaries are the fault models the shard-invariance matrix
-// crosses with the protocols and topologies. Severities are mild so the
-// planted plurality always survives: heavier delay (f=0.3, ×2) can flip the
-// winner on the sparse decentralized cells in the serial engine too — the
-// paper's theorems cover the honest model only — and an upset cell would
-// test the regime, not shard invariance.
+// invarianceAdversaries are the fault models the invariance matrix crosses
+// with the protocols and topologies. Severities are mild so the planted
+// plurality always survives: heavier delay (f=0.3, ×2) can flip the winner on
+// the sparse decentralized cells — the paper's theorems cover the honest
+// model only — and an upset cell would test the regime, not the invariant.
 var invarianceAdversaries = map[string]AdversarySpec{
 	"honest": {},
 	"crash":  {Kind: AdversaryCrash, Fraction: 0.1, At: 2, Seed: 5},
@@ -35,47 +39,31 @@ var invarianceAdversaries = map[string]AdversarySpec{
 
 // invarianceSpec is the matrix cell: the golden-matrix shape at a much
 // stronger planted bias, with the default (derived) horizon and a pinned
-// seed verified to be cross-shard consistent in every cell. The regime is
-// deliberately easy, because the invariant under test is shard invariance,
-// not regime difficulty: on the sparse reference graphs the decentralized
-// protocol's cluster endgame carries a scale-free upset probability (a
-// locally-converged cluster can finish first and push a minority color —
-// in the serial engine too), and each shard count is a different sample
-// path, so a fragile regime would make the cells disagree for reasons that
-// have nothing to do with sharding. Alpha 9 shrinks the upset probability
-// enough that seed 11 is clean across the whole matrix; each cell is a
-// pure function of (spec, seed, shards), so the pin is stable.
+// seed. Alpha 9 shrinks the scale-free upset probability of the
+// decentralized protocol's cluster endgame on the sparse reference graphs
+// enough that seed 11 has the plurality winning in every cell.
 func invarianceSpec(tp TopologySpec) Spec {
 	return Spec{N: 600, K: 3, Alpha: 9, Seed: 11, Topology: tp}
 }
 
-// shardSummary is the shard-count-invariant projection of a Result.
-type shardSummary struct {
-	Winner        int
-	PluralityWon  bool
-	FullConsensus bool
-	TimedOut      bool
-}
-
 // TestShardInvariance runs both event-ladder protocols across the reference
-// topologies and fault models at Shards ∈ {1, 2, 3, 7} and asserts the
-// summary fields match the serial run's — and that the serial run itself
-// has the plurality winning, so the equality is not vacuous.
+// topologies and fault models and asserts that the planted plurality wins
+// every cell, and that the cell's run is the same run — digest for digest —
+// when it is replication 0 of a two-worker batch, so the only parallelism
+// left (one replication per pool worker) cannot change a result.
 func TestShardInvariance(t *testing.T) {
-	shardCounts := []int{1, 2, 3, 7}
 	for _, name := range []string{"leader", "decentralized"} {
 		for _, tp := range goldenTopologies {
 			for advName, adv := range invarianceAdversaries {
 				spec := invarianceSpec(tp)
 				spec.Adversary = adv
 				if name == "leader" && tp.Kind != TopologyComplete {
-					// The leader protocol's sparse cells never reach
-					// unanimity (see invarianceSpec); left to the derived
-					// horizon they simulate for thousands of time units
-					// just to report the same timeout summary. Cap the
-					// horizon so the cells stay cheap under -race — the
-					// invariant is unchanged: the capped summary must still
-					// be identical at every shard count.
+					// The leader protocol's generation budget is derived
+					// from complete-graph mixing, so its sparse cells exhaust
+					// the derived horizon with the plurality leading but
+					// short of unanimity. Cap the horizon so the cells stay
+					// cheap under -race; the capped run must still have the
+					// plurality leading.
 					spec.MaxTime = 500
 				}
 				key := fmt.Sprintf("%s/%s/%s", name, tp.ResolvedLabel(spec.N), advName)
@@ -83,39 +71,20 @@ func TestShardInvariance(t *testing.T) {
 					if testing.Short() && tp.Kind != TopologyComplete {
 						t.Skip("sparse-topology invariance column skipped in -short mode")
 					}
-					var ref shardSummary
-					for i, shards := range shardCounts {
-						spec := spec
-						spec.Shards = shards
-						res, err := Run(context.Background(), name, spec)
-						if err != nil {
-							t.Fatalf("%s S=%d: %v", key, shards, err)
-						}
-						got := shardSummary{
-							Winner:        res.Winner,
-							PluralityWon:  res.PluralityWon,
-							FullConsensus: res.FullConsensus,
-							TimedOut:      res.TimedOut,
-						}
-						if i == 0 {
-							ref = got
-							// The serial baseline must at least have the planted
-							// plurality winning, so cross-S equality is not
-							// vacuous. Full consensus is not required: the
-							// leader protocol's sparse-topology cells exhaust
-							// their derived horizon with the plurality leading
-							// but short of unanimity — a real property of the
-							// protocol outside the paper's complete-graph
-							// regime, and one every shard count must reproduce
-							// identically.
-							if !ref.PluralityWon {
-								t.Fatalf("%s serial baseline lost the plurality: %+v", key, ref)
-							}
-							continue
-						}
-						if got != ref {
-							t.Errorf("%s S=%d summary %+v != serial %+v", key, shards, got, ref)
-						}
+					ctx := context.Background()
+					res, err := Run(ctx, name, spec)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if !res.PluralityWon {
+						t.Fatalf("%s lost the plurality: winner %d, counts %v", key, res.Winner, res.FinalCounts)
+					}
+					batch, err := RunBatch(ctx, name, spec, 2, 2)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if got, want := digestResult(batch[0]), digestResult(res); got != want {
+						t.Errorf("batch replication 0 digest %s != solo run %s", got, want)
 					}
 				})
 			}
@@ -123,150 +92,101 @@ func TestShardInvariance(t *testing.T) {
 	}
 }
 
-// TestShardsValidationMatrix pins, per registered protocol, which Shards
-// values are accepted: the asynchronous event-ladder protocols take any
-// 1 < S <= N, the round-based ones reject S > 1 with an error that names the
-// sharding-capable protocols, and out-of-range values fail validation for
-// everyone.
+// TestShardsValidationMatrix pins, per registered protocol, that the shard
+// count is gone from the whole surface: no protocol reports a "shards"
+// statistic, and a spec carrying "shards" — as a client of the removed
+// option would send it — is refused by a strict decoder instead of being
+// silently run serially.
 func TestShardsValidationMatrix(t *testing.T) {
-	shardable := map[string]bool{"leader": true, "decentralized": true}
+	const body = `{"n":300,"k":2,"alpha":3,"seed":9,"shards":2}`
+	dec := json.NewDecoder(strings.NewReader(body))
+	dec.DisallowUnknownFields()
+	var refused Spec
+	if err := dec.Decode(&refused); err == nil || !strings.Contains(err.Error(), "shards") {
+		t.Fatalf("strict decode of %s: err=%v, want an unknown-field error naming shards", body, err)
+	}
+	encoded, err := json.Marshal(Spec{N: 300, K: 2, Alpha: 3, Seed: 9})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if bytes.Contains(encoded, []byte("shards")) {
+		t.Fatalf("Spec still encodes a shards field: %s", encoded)
+	}
 	for _, name := range Protocols() {
 		t.Run(name, func(t *testing.T) {
-			spec := Spec{N: 300, K: 2, Alpha: 3, Seed: 9, Shards: 2}
-			res, err := Run(context.Background(), name, spec)
-			if shardable[name] {
-				if err != nil {
-					t.Fatalf("Shards=2 rejected: %v", err)
-				}
-				if res.Stats["shards"] != 2 {
-					t.Errorf("Stats[shards] = %v, want 2", res.Stats["shards"])
-				}
-			} else {
-				if err == nil {
-					t.Fatal("round-based protocol accepted Shards=2")
-				}
-				for _, want := range []string{"round-based", "leader", "decentralized"} {
-					if !strings.Contains(err.Error(), want) {
-						t.Errorf("rejection %q does not mention %q", err, want)
-					}
-				}
+			res, err := Run(context.Background(), name, Spec{N: 300, K: 2, Alpha: 3, Seed: 9})
+			if err != nil {
+				t.Fatal(err)
 			}
-			for _, bad := range []int{-1, spec.N + 1} {
-				spec := spec
-				spec.Shards = bad
-				if _, err := Run(context.Background(), name, spec); err == nil {
-					t.Errorf("Shards=%d accepted, want validation error", bad)
-				}
+			if v, ok := res.Stats["shards"]; ok {
+				t.Errorf("Stats[shards] = %v, want no shards statistic", v)
 			}
 		})
 	}
 }
 
-// shardedRoundtripSpec is the snapshot matrix cell size: big enough that a
-// mid-run cut lands inside the consensus phase at every tested shard count.
-func shardedRoundtripSpec(shards int) Spec {
-	return Spec{N: 600, K: 3, Alpha: 2.5, Seed: 7, Shards: shards}
-}
-
-// TestShardedSnapshotRoundtrip extends the TestSnapshotRoundtrip guarantee
-// to sharded cells: for both event-ladder protocols at Shards ∈ {2, 3},
-// honest and adversarial, a run captured at a window barrier mid-run,
-// encoded through the wire format and resumed is digest-identical to the
-// uninterrupted sharded run — including through RunBatchFrom's worker pool.
-func TestShardedSnapshotRoundtrip(t *testing.T) {
-	for _, name := range []string{"leader", "decentralized"} {
-		for _, shards := range []int{2, 3} {
-			for advName, adv := range invarianceAdversaries {
-				key := fmt.Sprintf("%s/S=%d/%s", name, shards, advName)
-				t.Run(key, func(t *testing.T) {
-					if testing.Short() && shards != 2 {
-						t.Skip("S=3 roundtrip column skipped in -short mode")
-					}
-					ctx := context.Background()
-					spec := shardedRoundtripSpec(shards)
-					spec.Adversary = adv
-					plain, err := Run(ctx, name, spec)
-					if err != nil {
-						t.Fatal(err)
-					}
-					want := digestResult(plain)
-
-					cspec := spec
-					cspec.Checkpoint = CheckpointSpec{SnapshotAt: plain.Duration / 2, Halt: true}
-					half, err := Run(ctx, name, cspec)
-					if err != nil {
-						t.Fatal(err)
-					}
-					if half.Snapshot == nil {
-						t.Fatalf("no snapshot captured at t=%g of %g", plain.Duration/2, plain.Duration)
-					}
-					blob, err := half.Snapshot.Encode()
-					if err != nil {
-						t.Fatal(err)
-					}
-					sn, err := DecodeSnapshot(blob)
-					if err != nil {
-						t.Fatal(err)
-					}
-					res, err := Resume(ctx, sn, nil)
-					if err != nil {
-						t.Fatal(err)
-					}
-					if got := digestResult(res); got != want {
-						t.Errorf("resumed digest %s != uninterrupted %s", got, want)
-					}
-					batch, err := RunBatchFrom(ctx, sn, 2, 2)
-					if err != nil {
-						t.Fatal(err)
-					}
-					if got := digestResult(batch[0]); got != want {
-						t.Errorf("batch-resumed digest %s != uninterrupted %s", got, want)
-					}
-				})
-			}
-		}
-	}
-}
-
-// TestShardedResumeShardCountMismatch pins the typed rejection: a blob
-// captured at Shards=S embeds S per-shard sections and resumes only at S.
-// Any other count — including the serial kernel — fails with
-// ErrSnapshotShards before any state is decoded.
+// TestShardedResumeShardCountMismatch pins the fate of blobs recorded by the
+// sharded engines: testdata/snapshot_v4_sharded_<protocol>.bin were captured
+// mid-run at N=90, Shards=3 by the last build that had sharded execution
+// (format version 4, one section per shard). They are refused with
+// ErrSnapshotVersion before any state is decoded — never misread as a
+// serial payload.
 func TestShardedResumeShardCountMismatch(t *testing.T) {
-	ctx := context.Background()
 	for _, name := range []string{"leader", "decentralized"} {
 		t.Run(name, func(t *testing.T) {
-			spec := shardedRoundtripSpec(3)
-			plain, err := Run(ctx, name, spec)
+			blob, err := os.ReadFile("testdata/snapshot_v4_sharded_" + name + ".bin")
 			if err != nil {
 				t.Fatal(err)
 			}
-			cspec := spec
-			cspec.Checkpoint = CheckpointSpec{SnapshotAt: plain.Duration / 2, Halt: true}
-			half, err := Run(ctx, name, cspec)
-			if err != nil {
-				t.Fatal(err)
+			head := len(snapshotMagic)
+			if len(blob) < head+2 || string(blob[:head]) != snapshotMagic {
+				t.Fatal("fixture is not a snapshot blob")
 			}
-			if half.Snapshot == nil {
-				t.Fatal("no snapshot captured")
+			if v := binary.LittleEndian.Uint16(blob[head:]); v != 4 {
+				t.Fatalf("fixture format version %d, want 4", v)
 			}
-			for _, wrong := range []int{2, 4} {
-				tampered := &Snapshot{meta: half.Snapshot.meta, payload: half.Snapshot.payload}
-				tampered.meta.Spec.Shards = wrong
-				_, err := Resume(ctx, tampered, nil)
-				if !errors.Is(err, ErrSnapshotShards) {
-					t.Errorf("resume at Shards=%d of a Shards=3 blob: err=%v, want ErrSnapshotShards", wrong, err)
-				}
+			if !bytes.Contains(blob, []byte(`"shards":3`)) {
+				t.Fatal("fixture meta does not record a sharded run")
 			}
-			// Resumed serially the shard prefix is not even a valid serial
-			// payload; the failure is still a typed snapshot error, just not
-			// a shard-count one (the serial decoder has no shard field to
-			// compare).
-			tampered := &Snapshot{meta: half.Snapshot.meta, payload: half.Snapshot.payload}
-			tampered.meta.Spec.Shards = 1
-			if _, err := Resume(ctx, tampered, nil); !errors.Is(err, ErrSnapshotCorrupt) && !errors.Is(err, ErrSnapshotTruncated) {
-				t.Errorf("serial resume of a Shards=3 blob: err=%v, want a typed snapshot error", err)
+			if _, err := DecodeSnapshot(blob); !errors.Is(err, ErrSnapshotVersion) {
+				t.Errorf("decode of a sharded v4 blob: err=%v, want ErrSnapshotVersion", err)
 			}
 		})
+	}
+}
+
+// TestShardsOneIsSerial pins that the serial kernel, now the only execution
+// of each asynchronous engine, still reproduces the digest recorded before
+// sharded execution existed, byte for byte — for a spec that has been
+// through the JSON wire form the server and sweep files use, so dropping
+// the shards field did not change which experiment a spec names.
+func TestShardsOneIsSerial(t *testing.T) {
+	for _, name := range []string{"leader", "decentralized"} {
+		for _, tp := range goldenTopologies {
+			spec := kernelGoldenSpec(tp)
+			key := fmt.Sprintf("%s/%s", name, tp.ResolvedLabel(spec.N))
+			t.Run(key, func(t *testing.T) {
+				if testing.Short() && tp.Kind != TopologyComplete {
+					t.Skip("sparse-topology column skipped in -short mode")
+				}
+				wire, err := json.Marshal(spec)
+				if err != nil {
+					t.Fatal(err)
+				}
+				dec := json.NewDecoder(bytes.NewReader(wire))
+				dec.DisallowUnknownFields()
+				var decoded Spec
+				if err := dec.Decode(&decoded); err != nil {
+					t.Fatal(err)
+				}
+				res, err := Run(context.Background(), name, decoded)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if got := digestResult(res); got != kernelGolden[key] {
+					t.Errorf("digest %s != pre-sharding serial golden %s", got, kernelGolden[key])
+				}
+			})
+		}
 	}
 }

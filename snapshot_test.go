@@ -30,19 +30,22 @@ func captureSnapshot(t *testing.T, name string, spec Spec) (*Snapshot, string) {
 
 func snapshotSpec() Spec { return Spec{N: 300, K: 3, Alpha: 2, Seed: 42} }
 
-// TestSnapshotVersionRejected pins that a blob recorded under a bumped
-// format version fails with ErrSnapshotVersion, not a misparse.
+// TestSnapshotVersionRejected pins that a blob recorded under any other
+// format version — the next one, or the previous one (which still admitted
+// the retired sharded layouts) — fails with ErrSnapshotVersion, not a
+// misparse.
 func TestSnapshotVersionRejected(t *testing.T) {
 	sn, _ := captureSnapshot(t, "leader", snapshotSpec())
-	bumped := *sn
-	bumped.meta.FormatVersion = SnapshotFormatVersion + 1
-	blob, err := bumped.Encode()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := DecodeSnapshot(blob); !errors.Is(err, ErrSnapshotVersion) {
-		t.Errorf("decode of version-%d blob: got %v, want ErrSnapshotVersion",
-			SnapshotFormatVersion+1, err)
+	for _, version := range []int{SnapshotFormatVersion + 1, SnapshotFormatVersion - 1} {
+		other := *sn
+		other.meta.FormatVersion = version
+		blob, err := other.Encode()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := DecodeSnapshot(blob); !errors.Is(err, ErrSnapshotVersion) {
+			t.Errorf("decode of version-%d blob: got %v, want ErrSnapshotVersion", version, err)
+		}
 	}
 }
 
@@ -340,10 +343,9 @@ func FuzzDecodeSnapshot(f *testing.F) {
 			f.Add(blob[:len(blob)-3])
 		}
 	}
-	// A sharded (v3) blob rounds out the corpus: its payload leads with the
-	// shard count and carries per-shard ladder/clock/RNG sections plus the
-	// delay adversary's parked-message arenas.
-	sspec := Spec{N: 64, K: 2, Alpha: 2, Seed: 1, Shards: 3,
+	// An event-driven blob rounds out the corpus: its payload carries the
+	// ladder, the clocks and the delay adversary's parked messages.
+	sspec := Spec{N: 64, K: 2, Alpha: 2, Seed: 1,
 		Adversary: AdversarySpec{Kind: AdversaryDelay, Fraction: 0.3, Rate: 2}}
 	splain, err := Run(ctx, "leader", sspec)
 	if err != nil {
